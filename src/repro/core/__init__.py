@@ -39,6 +39,7 @@ from .filters import (
     nlf,
 )
 from .match import Match, is_valid_match
+from .rows import MatchRows
 from .options import MatchOptions, RunContext, resolve_run_context
 from .partition import check_partition, partition_slice
 from .planner import (
@@ -91,6 +92,7 @@ __all__ = [
     "Match",
     "MatchOptions",
     "MatchResult",
+    "MatchRows",
     "MatchSet",
     "Matcher",
     "ResultSink",

@@ -31,13 +31,12 @@ fairness all apply while earlier requests are still in flight.
 from __future__ import annotations
 
 import asyncio
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import IO, Any, cast
 
 from ..errors import ServiceError
-from .server import TCSMService
+from .server import TCSMService, _decode_request_line, _encode_reply
 
 __all__ = [
     "AsyncFrontConfig",
@@ -95,7 +94,8 @@ class FrontDoorStats:
         }
 
 
-_QueueItem = tuple[dict[str, Any], "asyncio.Future[dict[str, Any]]"]
+#: (request, wants the finished reply line, response future).
+_QueueItem = tuple[dict[str, Any], bool, "asyncio.Future[Any]"]
 
 
 class AsyncFrontDoor:
@@ -172,30 +172,35 @@ class AsyncFrontDoor:
         is at ``max_queue_depth`` — the caller never blocks behind a
         backlog it cannot join.
         """
+        return cast(dict[str, Any], await self._enqueue(request, wire=False))
+
+    async def _enqueue(self, request: dict[str, Any], wire: bool) -> Any:
+        """Admit *request*; with *wire*, answer with the finished JSONL
+        reply line (``submit(request, _wire=True)``) instead of a dict."""
         if self._cond is None:
             raise ServiceError(
                 "AsyncFrontDoor is not started; use 'async with' or "
                 "call start()"
             )
         tenant = str(request.get(self.config.tenant_field, "default"))
-        future: asyncio.Future[dict[str, Any]]
+        future: asyncio.Future[Any]
         future = asyncio.get_running_loop().create_future()
         async with self._cond:
             self.stats.submitted += 1
             if self._closing:
-                return self._shed_response(request, tenant, "closing")
+                return self._shed_response(request, tenant, "closing", wire)
             queue = self._queues.setdefault(tenant, deque())
             if len(queue) >= self.config.max_queue_depth:
-                return self._shed_response(request, tenant, "queue full")
-            queue.append((request, future))
+                return self._shed_response(request, tenant, "queue full", wire)
+            queue.append((request, wire, future))
             if len(queue) == 1:
                 self._ready.append(tenant)
             self._cond.notify()
         return await future
 
     def _shed_response(
-        self, request: dict[str, Any], tenant: str, reason: str
-    ) -> dict[str, Any]:
+        self, request: dict[str, Any], tenant: str, reason: str, wire: bool
+    ) -> dict[str, Any] | str:
         self.stats.shed += 1
         by_tenant = self.stats.shed_by_tenant
         by_tenant[tenant] = by_tenant.get(tenant, 0) + 1
@@ -210,7 +215,7 @@ class AsyncFrontDoor:
         }
         if "id" in request:
             response["id"] = request["id"]
-        return response
+        return _encode_reply(response) if wire else response
 
     def stats_snapshot(self) -> dict[str, Any]:
         """Plain-data counters (for metrics endpoints and benchmarks)."""
@@ -238,27 +243,30 @@ class AsyncFrontDoor:
                         self._ready.append(tenant)
                 self.stats.admitted += len(batch)
                 self.stats.batches += 1
-            requests = [request for request, _ in batch]
+            requests = [(request, wire) for request, wire, _ in batch]
             try:
                 responses = await asyncio.to_thread(
                     self._run_batch, requests
                 )
             except BaseException as exc:
-                for _, future in batch:
+                for _, _, future in batch:
                     if not future.done():
                         future.set_exception(exc)
                 raise
-            for (_, future), response in zip(batch, responses):
+            for (_, _, future), response in zip(batch, responses):
                 self.stats.served += 1
                 if not future.done():
                     future.set_result(response)
 
-    def _run_batch(
-        self, requests: list[dict[str, Any]]
-    ) -> list[dict[str, Any]]:
+    def _run_batch(self, requests: list[tuple[dict[str, Any], bool]]) -> list[Any]:
         # Runs on a worker thread: the service's own submit() is
         # blocking and never raises (it returns error envelopes).
-        return [self.service.submit(request) for request in requests]
+        return [
+            self.service.submit(request, _wire=True)
+            if wire
+            else self.service.submit(request)
+            for request, wire in requests
+        ]
 
 
 async def serve_stdio_async(
@@ -277,13 +285,11 @@ async def serve_stdio_async(
     and queue-full shedding apply while earlier queries are still
     running.  Returns the number of responses written.
     """
-    served = 0
     max_bytes = service.config.max_request_bytes
     loop = asyncio.get_running_loop()
-    # FIFO of response futures: the writer resolves them in admission
+    # FIFO of reply-line futures: the writer resolves them in admission
     # order, which is exactly request order.
-    pending: asyncio.Queue[asyncio.Future[dict[str, Any]] | None]
-    pending = asyncio.Queue()
+    pending: asyncio.Queue[asyncio.Future[str] | None] = asyncio.Queue()
 
     async def writer() -> int:
         written = 0
@@ -291,8 +297,7 @@ async def serve_stdio_async(
             future = await pending.get()
             if future is None:
                 return written
-            response = await future
-            out_stream.write(json.dumps(response) + "\n")
+            out_stream.write(await future)
             out_stream.flush()
             written += 1
 
@@ -303,36 +308,19 @@ async def serve_stdio_async(
             raw = await asyncio.to_thread(in_stream.readline)
             if not raw:
                 break
-            line = raw.strip()
-            if not line:
+            request = _decode_request_line(raw, max_bytes)
+            if request is None:
                 continue
-            request: dict[str, Any] | None
-            try:
-                if len(line) > max_bytes:
-                    raise ValueError(
-                        f"request line exceeds max_request_bytes "
-                        f"({len(line)} > {max_bytes})"
-                    )
-                parsed = json.loads(line)
-                if not isinstance(parsed, dict):
-                    raise ValueError("request must be a JSON object")
-                request = parsed
-            except ValueError as exc:
-                request = None
-                failed: asyncio.Future[dict[str, Any]]
-                failed = loop.create_future()
-                failed.set_result(
-                    {
-                        "status": "error",
-                        "error": f"invalid request line: {exc}",
-                    }
-                )
+            if isinstance(request, str):
+                failed: asyncio.Future[str] = loop.create_future()
+                failed.set_result(request)
                 await pending.put(failed)
                 continue
             if request.get("op") == "shutdown":
                 # Drain in order: the shutdown response is the last line.
                 shutdown = True
-            await pending.put(asyncio.ensure_future(front.submit(request)))
+            await pending.put(
+                asyncio.ensure_future(front._enqueue(request, wire=True))
+            )
         await pending.put(None)
-        served = await writer_task
-    return served
+        return await writer_task

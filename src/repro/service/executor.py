@@ -2,11 +2,12 @@
 
 One query fans out as ``count`` partitions of the root candidate space
 (see :mod:`repro.core.partition`); each worker enumerates its slice with
-its own :class:`SearchStats`, and the executor concatenates matches in
-partition order and merges the stats.  Because partitions are disjoint
-and jointly exhaustive (under every partition strategy), the merged
-match multiset is *identical* to a single-worker run — the determinism
-guard in the test suite pins this.
+its own :class:`SearchStats` and hands back flat match rows
+(:class:`~repro.core.MatchRows`), and the executor concatenates the rows
+in partition order and merges the stats.  Because partitions are
+disjoint and jointly exhaustive (under every partition strategy), the
+merged match multiset is *identical* to a single-worker run — the
+determinism guard in the test suite pins this.
 
 Two pool flavours, per the ``concurrent.futures`` split:
 
@@ -47,6 +48,7 @@ from typing import Any, cast
 from ..core import (
     Match,
     MatchOptions,
+    MatchRows,
     Matcher,
     PartitionedMatcher,
     RunContext,
@@ -83,9 +85,13 @@ class ExecutionOutcome:
     the partition triggered in its worker, and how many CSR bytes the
     worker's graph instance owns privately (0 when attached to a shared
     segment; -1 when the worker ran against a non-snapshot view).
+
+    The merged matches are kept as flat :class:`~repro.core.MatchRows`;
+    :attr:`matches` rebuilds equal :class:`~repro.core.Match` tuples
+    when read.
     """
 
-    matches: tuple[Match, ...]
+    rows: MatchRows
     stats: SearchStats
     partitions: int
     queue_seconds: float
@@ -94,6 +100,11 @@ class ExecutionOutcome:
     ordered: bool = False
     worker_compiles: tuple[int, ...] = ()
     worker_graph_bytes: tuple[int, ...] = ()
+
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        """The merged matches, built from :attr:`rows` on each read."""
+        return self.rows.to_matches()
 
 
 @dataclass(frozen=True)
@@ -161,14 +172,15 @@ def _set_process_spec(spec: ProcessSpec | None, epoch: int) -> None:
 
 def _run_partition_in_process(
     index: int, count: int, epoch: int
-) -> tuple[tuple[Match, ...], SearchStats, int, int]:
+) -> tuple[MatchRows, SearchStats, int, int]:
     """Worker-process entry point: run one partition to completion.
 
-    Returns the partition's matches and stats plus two fan-out probes:
-    the number of CSR compilations this partition triggered in the
-    worker (0 under snapshot/shared-snapshot shipping — the compile-once
-    guarantee) and the CSR bytes the worker's graph owns privately
-    (0 when attached to a shared-memory segment).
+    Returns the partition's matches as flat rows (they pickle as one
+    byte buffer, not one object graph per match) and its stats, plus
+    two fan-out probes: the number of CSR compilations this partition
+    triggered in the worker (0 under snapshot/shared-snapshot shipping —
+    the compile-once guarantee) and the CSR bytes the worker's graph
+    owns privately (0 when attached to a shared-memory segment).
     """
     spec = _PROCESS_SPEC
     if spec is None or epoch != _PROCESS_EPOCH:
@@ -189,17 +201,17 @@ def _run_partition_in_process(
     )
     compiles = snapshot_compile_count() - compile_floor
     owned = graph.owned_nbytes if isinstance(graph, GraphSnapshot) else -1
-    return tuple(result.matches), result.stats, compiles, owned
+    return MatchRows.from_matches(result.matches), result.stats, compiles, owned
 
 
 def _merge_partitions(
-    parts: list[tuple[tuple[Match, ...], SearchStats]],
+    parts: list[tuple[MatchRows, SearchStats]],
     limit: int | None,
     order_by: str = "any",
-) -> tuple[tuple[Match, ...], SearchStats, bool]:
+) -> tuple[MatchRows, SearchStats, bool]:
     """Merge partition results into one outcome; returns the truncation flag.
 
-    ``order_by="any"``: partition results are concatenated in partition
+    ``order_by="any"``: partition rows are concatenated in partition
     order; with a global *limit* each partition may have returned up to
     *limit* matches, so the merged prefix is re-truncated and the
     truncation flagged.
@@ -211,25 +223,23 @@ def _merge_partitions(
     deterministic multiset identical to the top-k of an unpartitioned
     full enumeration for every partition strategy and worker count.
     """
-    matches: list[Match] = []
+    rows = MatchRows.concat(part_rows for part_rows, _ in parts)
     stats = SearchStats()
-    for part_matches, part_stats in parts:
-        matches.extend(part_matches)
+    for _, part_stats in parts:
         stats.merge(part_stats)
     truncated = stats.limit_hit
     if order_by == "earliest":
-        matches.sort(key=match_sort_key)
-        if limit is not None and len(matches) > limit:
-            del matches[limit:]
+        ordered = sorted(rows.to_matches(), key=match_sort_key)
+        rows = MatchRows.from_matches(ordered[:limit])
         if limit is not None and stats.matches > limit:
             truncated = True
     elif limit is not None and stats.matches >= limit:
-        matches = matches[:limit]
+        rows = rows.head(limit)
         stats.matches = limit
         stats.budget_exhausted = True
         stats.limit_hit = True
         truncated = True
-    return tuple(matches), stats, truncated
+    return rows, stats, truncated
 
 
 class QueryExecutor:
@@ -313,7 +323,7 @@ class QueryExecutor:
             invoke_run_sink(matcher, ctx, sink)
             finished = time.perf_counter()
             return ExecutionOutcome(
-                matches=tuple(sink.finish()),
+                rows=MatchRows.from_matches(sink.finish()),
                 stats=stats,
                 partitions=1,
                 queue_seconds=max(0.0, started - enqueued),
@@ -333,7 +343,7 @@ class QueryExecutor:
 
         def run_partition(
             index: int,
-        ) -> tuple[float, tuple[Match, ...], SearchStats]:
+        ) -> tuple[float, MatchRows, SearchStats]:
             started = time.perf_counter()
             ctx = base_ctx.with_partition(index, count)
             sink = make_sink()
@@ -342,7 +352,7 @@ class QueryExecutor:
             ) as span:
                 invoke_run_sink(runner, ctx, sink)
                 span.annotate(matches=ctx.stats.matches)
-            return started, tuple(sink.finish()), ctx.stats
+            return started, MatchRows.from_matches(sink.finish()), ctx.stats
 
         futures = [
             self._threads.submit(run_partition, index) for index in range(count)
@@ -350,11 +360,13 @@ class QueryExecutor:
         results = [future.result() for future in futures]
         finished = time.perf_counter()
         first_start = min(started for started, _, _ in results)
-        matches_merged, stats_merged, truncated = _merge_partitions(
-            [(part, stats) for _, part, stats in results], limit, order_by
-        )
+        with tr.span("merge", partitions=count) as span:
+            rows, stats_merged, truncated = _merge_partitions(
+                [(part, stats) for _, part, stats in results], limit, order_by
+            )
+            span.annotate(matches=len(rows), row_bytes=rows.nbytes)
         return ExecutionOutcome(
-            matches=matches_merged,
+            rows=rows,
             stats=stats_merged,
             partitions=count,
             queue_seconds=max(0.0, first_start - enqueued),
@@ -390,7 +402,7 @@ class QueryExecutor:
             )
             finished = time.perf_counter()
             return ExecutionOutcome(
-                matches=tuple(result.matches),
+                rows=MatchRows.from_matches(result.matches),
                 stats=result.stats,
                 partitions=1,
                 queue_seconds=0.0,
@@ -426,13 +438,13 @@ class QueryExecutor:
                 finished = time.perf_counter()
             finally:
                 _set_process_spec(None, epoch)
-        matches_merged, stats_merged, truncated = _merge_partitions(
-            [(matches, stats) for matches, stats, _, _ in parts],
+        rows, stats_merged, truncated = _merge_partitions(
+            [(part_rows, stats) for part_rows, stats, _, _ in parts],
             spec.limit,
             spec.order_by,
         )
         return ExecutionOutcome(
-            matches=matches_merged,
+            rows=rows,
             stats=stats_merged,
             partitions=count,
             queue_seconds=0.0,

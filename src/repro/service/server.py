@@ -23,12 +23,14 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import IO, Any
+from functools import lru_cache
+from typing import IO, Any, Literal, overload
 
 from ..core import (
     CountEstimate,
     Match,
     MatchOptions,
+    MatchRows,
     SearchStats,
     create_matcher,
     find_matches,
@@ -104,6 +106,47 @@ class ServiceConfig:
     max_request_bytes: int = 1_000_000
 
 
+def _match_dicts(rows: MatchRows) -> list[dict[str, Any]]:
+    """The rows as the ``{"vertices", "edges"}`` dicts of the reply."""
+    n, width = rows.num_vertices, rows.width
+    data = rows.data.tolist()
+    return [
+        {
+            "vertices": data[i : i + n],
+            "edges": [data[j : j + 3] for j in range(i + n, i + width, 3)],
+        }
+        for i in range(0, len(data), width)
+    ]
+
+
+@lru_cache(maxsize=64)
+def _row_template(num_vertices: int, num_edges: int) -> str:
+    """``%``-template of one match object, in ``json.dumps`` spacing."""
+    vertices = ", ".join(["%d"] * num_vertices)
+    edges = ", ".join(["[%d, %d, %d]"] * num_edges)
+    return f'{{"vertices": [{vertices}], "edges": [{edges}]}}'
+
+
+def _matches_json(rows: MatchRows) -> str:
+    """``json.dumps(_match_dicts(rows))``, formatted from the flat rows.
+
+    One template per row, all filled by a single ``%`` over the row
+    buffer: no per-match dicts or lists are built.
+    """
+    if not rows.data:
+        return "[]"
+    template = _row_template(rows.num_vertices, rows.num_edges)
+    body = ", ".join([template] * len(rows)) % tuple(rows.data)
+    return f"[{body}]"
+
+
+@dataclass(frozen=True, slots=True)
+class _EncodedMatches:
+    """A reply's match list, already encoded as JSON text."""
+
+    text: str
+
+
 @dataclass(frozen=True)
 class ServiceResult:
     """Outcome of one service query, with provenance and timings.
@@ -116,12 +159,17 @@ class ServiceResult:
     ``order_by="earliest"`` answer; ``estimate`` carries the
     ``mode="estimate"`` count + confidence interval (``None``
     otherwise).
+
+    The matches are kept as flat :class:`~repro.core.MatchRows`, which
+    the result cache holds without one garbage-collected object per
+    match; :attr:`matches` rebuilds equal :class:`~repro.core.Match`
+    tuples on each read.
     """
 
     graph: str
     graph_version: int
     algorithm: str
-    matches: tuple[Match, ...]
+    rows: MatchRows
     match_count: int
     timed_out: bool
     truncated: bool
@@ -147,8 +195,21 @@ class ServiceResult:
     worker_compiles: tuple[int, ...] = ()
     worker_graph_bytes: tuple[int, ...] = ()
 
-    def to_dict(self, include_matches: bool = True) -> dict[str, Any]:
-        """Plain-data view used for JSONL responses."""
+    @property
+    def matches(self) -> tuple[Match, ...]:
+        """The answer's matches, built from :attr:`rows` on each read."""
+        return self.rows.to_matches()
+
+    def to_dict(
+        self, include_matches: bool = True, *, _wire: bool = False
+    ) -> dict[str, Any]:
+        """Plain-data view used for JSONL responses.
+
+        ``matches`` is a list of ``{"vertices", "edges"}`` dicts.  The
+        JSONL loops pass ``_wire=True`` to get it as ready JSON text
+        instead, which :func:`_encode_reply` splices into the reply
+        line byte-for-byte as ``json.dumps`` would have written the list.
+        """
         payload: dict[str, Any] = {
             "graph": self.graph,
             "graph_version": self.graph_version,
@@ -175,13 +236,11 @@ class ServiceResult:
             payload["worker_compiles"] = list(self.worker_compiles)
             payload["worker_graph_bytes"] = list(self.worker_graph_bytes)
         if include_matches:
-            payload["matches"] = [
-                {
-                    "vertices": list(match.vertex_map),
-                    "edges": [list(edge) for edge in match.edge_map],
-                }
-                for match in self.matches
-            ]
+            payload["matches"] = (
+                _EncodedMatches(_matches_json(self.rows))
+                if _wire
+                else _match_dicts(self.rows)
+            )
         return payload
 
 
@@ -647,9 +706,9 @@ class TCSMService:
                 graph=handle.name,
                 graph_version=handle.version,
                 algorithm=algo,
-                matches=outcome.matches,
+                rows=outcome.rows,
                 match_count=(
-                    len(outcome.matches)
+                    len(outcome.rows)
                     if collect_matches
                     else outcome.stats.matches
                 ),
@@ -717,7 +776,7 @@ class TCSMService:
             graph=handle.name,
             graph_version=handle.version,
             algorithm=engine_result.algorithm,
-            matches=(),
+            rows=MatchRows(),
             match_count=engine_result.num_matches,
             timed_out=False,
             truncated=False,
@@ -822,7 +881,15 @@ class TCSMService:
     # ------------------------------------------------------------------
     # JSON request dispatch
     # ------------------------------------------------------------------
-    def submit(self, request: dict[str, Any]) -> dict[str, Any]:
+    @overload
+    def submit(self, request: dict[str, Any]) -> dict[str, Any]: ...
+
+    @overload
+    def submit(self, request: dict[str, Any], _wire: Literal[True]) -> str: ...
+
+    def submit(
+        self, request: dict[str, Any], _wire: bool = False
+    ) -> dict[str, Any] | str:
         """Handle one JSON-level request; never raises.
 
         Known ops: ``query``, ``load_graph``, ``drop_graph``, ``graphs``,
@@ -832,13 +899,22 @@ class TCSMService:
         always carry
         ``status`` (``ok`` / ``error`` / ``rejected``), echo the request
         ``op`` and, when present, its ``id``.
+
+        The JSONL loops pass ``_wire=True`` and get the finished reply
+        line instead of the response dict: the bytes ``json.dumps``
+        writes for the response, plus a newline, with the match list
+        encoded straight from the answer's rows.
         """
+        response = self._respond(request, _wire)
+        return _encode_reply(response) if _wire else response
+
+    def _respond(self, request: dict[str, Any], wire: bool) -> dict[str, Any]:
         op = request.get("op", "query")
         base: dict[str, Any] = {"op": op}
         if "id" in request:
             base["id"] = request["id"]
         try:
-            payload = self._dispatch(op, request)
+            payload = self._dispatch(op, request, wire)
         except AdmissionError as exc:
             return {**base, "status": "rejected", "error": str(exc)}
         except ReproError as exc:
@@ -851,9 +927,11 @@ class TCSMService:
             }
         return {**base, "status": "ok", **payload}
 
-    def _dispatch(self, op: str, request: dict[str, Any]) -> dict[str, Any]:
+    def _dispatch(
+        self, op: str, request: dict[str, Any], wire: bool
+    ) -> dict[str, Any]:
         if op == "query":
-            return self._handle_query(request)
+            return self._handle_query(request, wire)
         if op == "load_graph":
             handle = self.load_graph_file(
                 str(request["name"]),
@@ -894,7 +972,9 @@ class TCSMService:
             return {}
         raise ValueError(f"unknown op {op!r}")
 
-    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
+    def _handle_query(
+        self, request: dict[str, Any], wire: bool
+    ) -> dict[str, Any]:
         if "pattern" in request:
             query, constraints = pattern_from_dict(request["pattern"])
         elif "pattern_path" in request:
@@ -950,7 +1030,7 @@ class TCSMService:
         include_matches = (
             not count_only and (mode or "enumerate").lower() == "enumerate"
         )
-        return result.to_dict(include_matches=include_matches)
+        return result.to_dict(include_matches=include_matches, _wire=wire)
 
     def _handle_subscribe(self, request: dict[str, Any]) -> dict[str, Any]:
         if "pattern" in request:
@@ -1018,6 +1098,48 @@ class TCSMService:
         self.close()
 
 
+def _decode_request_line(
+    line: str, max_bytes: int
+) -> dict[str, Any] | str | None:
+    """Parse one JSONL request line.
+
+    Returns the request object, ``None`` for a blank line, or — for an
+    oversized, malformed or non-object line — the finished error reply
+    line to write in its place.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        if len(line) > max_bytes:
+            raise ValueError(
+                f"request line exceeds max_request_bytes "
+                f"({len(line)} > {max_bytes})"
+            )
+        request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+    except ValueError as exc:
+        return _encode_reply(
+            {"status": "error", "error": f"invalid request line: {exc}"}
+        )
+    return request
+
+
+def _encode_reply(response: dict[str, Any]) -> str:
+    """One JSONL reply line for *response*, newline included.
+
+    A match list pre-encoded by ``ServiceResult.to_dict(_wire=True)``
+    (always the response's last key) is spliced in after the rest of
+    the object, giving the bytes ``json.dumps`` writes for the list.
+    """
+    matches = response.get("matches")
+    if not isinstance(matches, _EncodedMatches):
+        return json.dumps(response) + "\n"
+    head = json.dumps({k: v for k, v in response.items() if k != "matches"})
+    return "".join((head[:-1], ', "matches": ', matches.text, "}\n"))
+
+
 def serve_stdio(
     service: TCSMService,
     in_stream: IO[str],
@@ -1033,29 +1155,16 @@ def serve_stdio(
     served = 0
     max_bytes = service.config.max_request_bytes
     for line in in_stream:
-        line = line.strip()
-        if not line:
+        request = _decode_request_line(line, max_bytes)
+        if request is None:
             continue
-        try:
-            if len(line) > max_bytes:
-                raise ValueError(
-                    f"request line exceeds max_request_bytes "
-                    f"({len(line)} > {max_bytes})"
-                )
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            response: dict[str, Any] = {
-                "status": "error",
-                "error": f"invalid request line: {exc}",
-            }
-            request = None
-        else:
-            response = service.submit(request)
-        out_stream.write(json.dumps(response) + "\n")
+        out_stream.write(
+            request
+            if isinstance(request, str)
+            else service.submit(request, _wire=True)
+        )
         out_stream.flush()
         served += 1
-        if request is not None and request.get("op") == "shutdown":
+        if isinstance(request, dict) and request.get("op") == "shutdown":
             break
     return served

@@ -10,6 +10,7 @@ inherit.
 
 import pytest
 
+from repro.core import MatchRows
 from repro.service import ProcessSpec, QueryExecutor
 from repro.service import executor as executor_module
 
@@ -51,14 +52,16 @@ class TestEpochGuard:
         epoch = next(executor_module._EPOCH_COUNTER)
         executor_module._set_process_spec(spec, epoch)
         try:
-            matches, stats, compiles, owned = (
+            rows, stats, compiles, owned = (
                 executor_module._run_partition_in_process(0, 1, epoch)
             )
         finally:
             executor_module._set_process_spec(
                 None, next(executor_module._EPOCH_COUNTER)
             )
-        assert stats.matches == len(matches) == 2
+        # Workers ship flat rows: one byte buffer through the pickle pipe.
+        assert isinstance(rows, MatchRows)
+        assert stats.matches == len(rows) == 2
         assert compiles == 0  # the spec ships a pre-compiled snapshot
         assert owned > 0  # plain snapshot: the worker owns its buffers
 

@@ -109,6 +109,30 @@ class TestTracedQueries:
             "partition:0/2", "partition:1/2"
         }
 
+    def test_fanned_out_traced_query_records_one_merge_span(
+        self, service, workload
+    ):
+        query, constraints = workload
+        for _ in range(2):
+            result = service.query(
+                "cm", query, constraints, workers=2, trace=True
+            )
+            payload = service.traces.get(result.trace_id)
+            merges = [
+                e for e in payload["chrome"]["traceEvents"]
+                if e["name"] == "merge"
+            ]
+            assert len(merges) == 1
+            args = merges[0]["args"]
+            assert args["matches"] == result.match_count > 0
+            assert args["row_bytes"] == result.rows.nbytes > 0
+        solo = service.query("cm", query, constraints, workers=1, trace=True)
+        names = {
+            e["name"]
+            for e in service.traces.get(solo.trace_id)["chrome"]["traceEvents"]
+        }
+        assert "merge" not in names  # one partition: nothing to merge
+
     def test_traced_queries_bypass_the_result_cache(self, service, workload):
         query, constraints = workload
         service.query("cm", query, constraints)  # warms the cache
